@@ -3,7 +3,7 @@
 // and the branch-parallel scheduler — and writes the measurements to
 // BENCH_engine.json so perf regressions are diffable across commits.
 //
-// Four groups:
+// Groups:
 //
 //   - matmul: naive ijk baseline vs the cache-blocked serial kernel vs
 //     the pool-sharded parallel kernel, at a large square size.
@@ -13,6 +13,9 @@
 //     with allocs/op capturing the static memory planner's effect.
 //   - prepack: the same model with ahead-of-time packed weight panels
 //     (the session-open pre-pack pass) vs the unpacked pooled forward.
+//   - depthwise: MobileNet-v2's depthwise layers as fused
+//     DW→BN→ReLU6 calls, one pass at full width and at p=1, with the
+//     achieved GMAC/s.
 //   - serving: 8 frames through a serving engine, sequentially vs
 //     batch-folded InferBatch at batch 2/4/8 — the batch curve.
 //   - scaling: the -procs sweep re-times the blocked vs parallel GEMM
@@ -286,6 +289,28 @@ func main() {
 	})
 	rep.Summary["epilogue_dw_folded_vs_sweep_speedup"] = ratio(dwSweep.NsPerOp, dwFold.NsPerOp)
 	rep.Summary["epilogue_conv_folded_vs_sweep_speedup"] = ratio(convSweep.NsPerOp, convFold.NsPerOp)
+
+	// --- depthwise group: MobileNet-v2's depthwise layers, each one
+	// fused DW→BN→ReLU6 call as the O2 graph dispatches it, timed as one
+	// pass over all layers at full width and at p=1. GMAC/s counts MACs
+	// with graph.NodeCost.
+	dwLayers, dwMACs := mnv2DepthwiseLayers()
+	dwPass := func(bb *testing.B) {
+		for i := 0; i < bb.N; i++ {
+			for _, l := range dwLayers {
+				tensor.DepthwiseConv2DFusedInto(l.dst, l.in, l.w, l.bias, l.spec, l.epi)
+			}
+		}
+	}
+	dwAll := benchMin("depthwise/mnv2-layers", &rep.Results, dwPass)
+	runtime.GOMAXPROCS(1)
+	dwOne := benchMin("depthwise/mnv2-layers-p1", &rep.Results, dwPass)
+	runtime.GOMAXPROCS(rep.GoMaxProcs)
+	fmt.Printf("%-24s %d layers, %.1f MMAC per pass\n", "depthwise", len(dwLayers), dwMACs/1e6)
+	rep.Summary["depthwise_mnv2_layers_ns_per_op"] = float64(dwAll.NsPerOp)
+	rep.Summary["depthwise_mnv2_layers_gmacs_per_s"] = gmacsPerSec(dwMACs, dwAll.NsPerOp)
+	rep.Summary["depthwise_mnv2_layers_p1_ns_per_op"] = float64(dwOne.NsPerOp)
+	rep.Summary["depthwise_mnv2_layers_p1_gmacs_per_s"] = gmacsPerSec(dwMACs, dwOne.NsPerOp)
 
 	// --- qgemm group: the real-int8 kernel vs the blocked FP32 kernel.
 	// Same pinned dim as the matmul group; the int8 kernel must be
@@ -579,6 +604,60 @@ func main() {
 		fmt.Fprintf(os.Stderr, "engbench: scaling gate WAIVED: host has %d CPUs; no swept point satisfies 4 <= p <= NumCPU (curve recorded, not enforced)\n",
 			rep.NumCPU)
 	}
+}
+
+// dwLayer is one depthwise layer's operands for the depthwise group.
+type dwLayer struct {
+	dst, in, w *tensor.Tensor
+	bias       []float32
+	spec       tensor.Conv2DSpec
+	epi        tensor.Epilogue
+}
+
+// mnv2DepthwiseLayers builds operands for every depthwise node of
+// MobileNet-v2, each with a BN-style affine and ReLU6 epilogue, and
+// returns them with their total MAC count.
+func mnv2DepthwiseLayers() ([]dwLayer, float64) {
+	spec, ok := model.Get("MobileNet-v2")
+	if !ok {
+		log.Fatal("engbench: MobileNet-v2 missing from the model zoo")
+	}
+	g := spec.Build(nn.Options{})
+	var layers []dwLayer
+	var macs float64
+	for _, n := range g.Nodes {
+		if n.Kind != graph.OpDepthwiseConv2D {
+			continue
+		}
+		c := n.WShape[0]
+		l := dwLayer{
+			dst:  tensor.New(n.OutShape...),
+			in:   tensor.New(n.Inputs[0].OutShape...),
+			w:    tensor.New(n.WShape...),
+			spec: n.Attrs.ConvSpec(),
+			epi:  tensor.Epilogue{Scale: make([]float32, c), Shift: make([]float32, c), Act: tensor.ActReLU6},
+		}
+		if n.BiasLen > 0 {
+			l.bias = make([]float32, n.BiasLen)
+		}
+		fill(l.in, 30+len(layers))
+		fill(l.w, 60+len(layers))
+		for i := range l.epi.Scale {
+			l.epi.Scale[i] = 1 + float32(i%7)/16
+			l.epi.Shift[i] = float32(i%5)/8 - 0.25
+		}
+		layers = append(layers, l)
+		macs += graph.NodeCost(n).MACs
+	}
+	return layers, macs
+}
+
+// gmacsPerSec converts a MAC count done in ns nanoseconds to GMAC/s.
+func gmacsPerSec(macs float64, ns int64) float64 {
+	if ns == 0 {
+		return 0
+	}
+	return macs / float64(ns)
 }
 
 // findResult returns the named result from a sweep point, nil if absent.

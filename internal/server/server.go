@@ -124,6 +124,7 @@ type Server struct {
 	mux      *http.ServeMux
 	ready    atomic.Bool
 	shape    tensor.Shape
+	maxBody  int64
 	scrapeMu sync.Mutex
 	onScrape []func()
 }
@@ -141,6 +142,7 @@ func New(eng Engine, cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		shape: eng.InputShape(),
 	}
+	s.maxBody = MaxInferBody(s.shape)
 	m.ExecDType.Set(eng.ExecDType(), 1)
 	m.WeightBytes.Set(float64(eng.WeightBytes()))
 	s.mux.HandleFunc("/infer", s.handleInfer)
@@ -191,6 +193,29 @@ func (s *Server) Close() error {
 	return s.eng.Close()
 }
 
+// MaxInferBody is the largest /infer request body, in bytes, a server
+// for input shape accepts: 32 bytes per element (Go's JSON encoding of
+// a float32 takes at most 22, 23 with its separator) plus 64 KiB for
+// the envelope and whitespace. Larger bodies get 413 without being
+// decoded past the limit.
+func MaxInferBody(shape tensor.Shape) int64 {
+	return int64(shape.NumElems())*32 + 64<<10
+}
+
+// NewHTTPServer returns an http.Server for h with read and idle
+// timeouts, so a client that stalls mid-request or parks an idle
+// keep-alive connection cannot pin a connection indefinitely. No write
+// timeout: a response waits on inference, which per-request deadlines
+// already bound.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // InferRequest is the /infer request body. Either Data carries a full
 // input tensor (length must match the model's input shape) or Seed asks
 // the server to generate a deterministic pseudo-random input — the
@@ -224,9 +249,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
+	if r.ContentLength > s.maxBody {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, s.maxBody))
+		return
+	}
 	// An empty body is legal (seed-0 generated input), so io.EOF passes.
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", s.maxBody))
+			return
+		}
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

@@ -221,76 +221,3 @@ func conv2DGEMMInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, scratch
 		}
 	}
 }
-
-// DepthwiseConv2D applies one [KH, KW] filter per input channel (the
-// MobileNet depthwise-separable building block). Weights are
-// [C, KH, KW]; bias may be nil.
-func DepthwiseConv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
-	spec = spec.check()
-	c := in.Shape[0]
-	kh, kw := w.Shape[1], w.Shape[2]
-	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
-	out := New(c, hout, wout)
-	DepthwiseConv2DInto(out, in, w, bias, spec)
-	return out
-}
-
-// DepthwiseConv2DInto computes the depthwise convolution into a
-// preallocated dst of shape [C, Hout, Wout], overwriting every element.
-// Above the MAC work threshold the channel×row tile space is sharded
-// across the worker pool (per-tile writes are disjoint, so results are
-// bitwise identical to serial); small layers stay on the caller.
-func DepthwiseConv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec) {
-	spec = spec.check()
-	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	wc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
-	if c != wc {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D channel mismatch: %v vs %v", in.Shape, w.Shape))
-	}
-	if bias != nil && len(bias) != c {
-		panic("tensor: DepthwiseConv2D bias length mismatch")
-	}
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	checkConvDst(dst, c, hout, wout)
-	macsPerRow := kh * kw * wout
-	if c*hout*macsPerRow < parallelThresholdMACs {
-		depthwiseRows(dst, in, w, bias, spec, 0, c*hout)
-		return
-	}
-	parallelFor(c*hout, grainForMACs(macsPerRow), func(lo, hi int) {
-		depthwiseRows(dst, in, w, bias, spec, lo, hi)
-	})
-}
-
-// depthwiseRows computes the flattened output-row tiles [lo, hi), where
-// tile u covers output row (ic = u/hout, oy = u%hout).
-func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int) {
-	h, wd := in.Shape[1], in.Shape[2]
-	kh, kw := w.Shape[1], w.Shape[2]
-	padH, padW := spec.padHW()
-	hout, wout := dst.Shape[1], dst.Shape[2]
-	for u := lo; u < hi; u++ {
-		ic, oy := u/hout, u%hout
-		var b float32
-		if bias != nil {
-			b = bias[ic]
-		}
-		for ox := 0; ox < wout; ox++ {
-			sum := b
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*spec.Stride + ky - padH
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*spec.Stride + kx - padW
-					if ix < 0 || ix >= wd {
-						continue
-					}
-					sum += in.Data[(ic*h+iy)*wd+ix] * w.Data[(ic*kh+ky)*kw+kx]
-				}
-			}
-			dst.Data[(ic*hout+oy)*wout+ox] = sum
-		}
-	}
-}

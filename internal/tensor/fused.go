@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file is the FP32 twin of the int8 epilogue in qconv.go: fused
 // kernels that run a compute op's main loop and then apply an absorbed
@@ -244,39 +241,6 @@ func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, sc
 		}
 		applyActInPlace(seg, epi.Act, epi.Alpha)
 	}
-}
-
-// depthwiseRowsFused is depthwiseRows with the epilogue folded into the
-// row loop, mirroring convRowsFused.
-func depthwiseRowsFused(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int, epi Epilogue) {
-	depthwiseRows(dst, in, w, bias, spec, lo, hi)
-	foldEpilogueRows(dst, lo, hi, epi)
-}
-
-// DepthwiseConv2DFusedInto computes the depthwise convolution with the
-// epilogue folded into the row loop — one output traversal, same
-// sharding policy as DepthwiseConv2DInto.
-func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	spec = spec.check()
-	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	wc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
-	if c != wc {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2DFused channel mismatch: %v vs %v", in.Shape, w.Shape))
-	}
-	if bias != nil && len(bias) != c {
-		panic("tensor: DepthwiseConv2DFused bias length mismatch")
-	}
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	checkConvDst(dst, c, hout, wout)
-	checkEpilogueChannels(epi, c)
-	macsPerRow := kh * kw * wout
-	if c*hout*macsPerRow < parallelThresholdMACs {
-		depthwiseRowsFused(dst, in, w, bias, spec, 0, c*hout, epi)
-		return
-	}
-	parallelFor(c*hout, grainForMACs(macsPerRow), func(lo, hi int) {
-		depthwiseRowsFused(dst, in, w, bias, spec, lo, hi, epi)
-	})
 }
 
 // DenseFusedInto computes dst = epi(w*x + bias) for a [Out, In] weight

@@ -133,8 +133,9 @@ func GemmPrepacked(dst, a []float32, pw *PackedWeights, m int) {
 }
 
 // gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B.
-// The loop structure, A-row staging, and microkernel are exactly
-// matmulBlockedRange's; only the panel source differs.
+// The loop structure, A-row staging, and microkernel arithmetic are
+// exactly matmulBlockedRange's; only the panel source differs, and the
+// microkernel runs out of line in gemmPrepackedMicro.
 func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 	k, n := pw.K, pw.N
 	for i := rlo; i < rhi; i++ {
@@ -157,14 +158,28 @@ func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 				orow := dst[i*n+jc : i*n+jc+jb]
 				for g := 0; g < kb4; g += gemmMR {
 					a0, a1, a2, a3 := abuf[g], abuf[g+1], abuf[g+2], abuf[g+3]
-					p := panel[g*jb : g*jb+jb*gemmMR]
-					for j := range orow {
-						base := j * gemmMR
-						orow[j] += a0*p[base] + a1*p[base+1] + a2*p[base+2] + a3*p[base+3]
-					}
+					gemmPrepackedMicro(orow, panel[g*jb:g*jb+jb*gemmMR], a0, a1, a2, a3)
 				}
 			}
 		}
+	}
+}
+
+// gemmPrepackedMicro is gemmPrepackedRange's microkernel: one
+// gemmMR-deep step over an output row against its panel slice,
+// orow[j] += a0*p[4j] + a1*p[4j+1] + a2*p[4j+2] + a3*p[4j+3].
+// It stays out of line on purpose. Inlined into the loop nest, register
+// pressure spilled the loop index to the stack, and the loop's speed
+// then moved by ~18% with where the linker placed the caller; as a leaf
+// it keeps its operands in registers and starts at its own aligned
+// entry.
+//
+//go:noinline
+func gemmPrepackedMicro(orow, p []float32, a0, a1, a2, a3 float32) {
+	p = p[:len(orow)*gemmMR]
+	for j := range orow {
+		q := p[j*gemmMR : j*gemmMR+gemmMR : j*gemmMR+gemmMR]
+		orow[j] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
 	}
 }
 
